@@ -86,6 +86,20 @@ def quantile(values, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
+# Columns of a runner sample: job index, CPU ms, ok, undecided, wall ms.
+CPU_MS, WALL_MS = 1, 4
+# Gated timings are CPU times scaled to a host on which the reference
+# (reference_ms() in src/runner.cpp) takes this long: about its best on the
+# 4-vCPU container the benchmark was defined on.
+REF_NOMINAL_MS = 0.70
+
+
+def pass_scaled(p):
+    """Sample -> its CPU ms scaled by its pass's fastest reference."""
+    scale = REF_NOMINAL_MS / p["ref_ms"]
+    return lambda sample: sample[CPU_MS] * scale
+
+
 def metric(value, unit):
     return {"value": value, "unit": unit}
 
@@ -110,13 +124,20 @@ def check_runs(children, problems):
             elif p["counts"] != reference[kind]:
                 problems.append("work counts differ between %s passes: %s vs %s"
                                 % (kind, reference[kind], p["counts"]))
-            for job, _ms, ok, und in p["samples"]:
+            for job, _ms, ok, und, *_rest in p["samples"]:
                 attempted += 1
                 failed += 0 if ok else 1
                 if jobs[job]["verifies"]:
                     verifications += 1
                     undecided += und
     return attempted, failed, verifications, undecided, reference
+
+
+def failing_jobs(problems):
+    """Names of the jobs whose output check failed or that threw."""
+    prefix = "check failed: "
+    return {p[len(prefix):].split(": ")[0] for p in problems
+            if p.startswith(prefix)}
 
 
 def print_counts(reference):
@@ -130,20 +151,28 @@ def print_counts(reference):
 # --trace 0: end-to-end metrics
 # ---------------------------------------------------------------------------
 
-def best_pass(passes, names):
+def best_pass(passes, names, value=pass_scaled):
     """The last pass's jobs, each at its best (minimum) latency over `passes`.
 
     Contention from other tenants of a shared host only ever adds time and
-    comes in bursts of seconds, so the minimum over a job's repeats is the
-    stable estimate of what the program itself costs (min-of-k). Returns
-    the pass's job latencies in ms, sorted, and the raw samples by job.
+    comes in bursts, so the minimum over a job's repeats is the stable
+    estimate of what the program itself costs (min-of-k). `value(pass)`
+    maps a sample of that pass to its latency in ms. Returns the pass's job
+    latencies, sorted, and the samples by job.
     """
     per_job = {}
     for p in passes:
-        for job, ms, _ok, _und in p["samples"]:
-            per_job.setdefault(names[job], []).append(ms)
+        latency = value(p)
+        for sample in p["samples"]:
+            per_job.setdefault(names[sample[0]], []).append(latency(sample))
     jobs = [names[s[0]] for s in passes[-1]["samples"]]
     return sorted(min(per_job[name]) for name in jobs), per_job
+
+
+def reference_line(passes):
+    """The fastest reference of each pass, for the report."""
+    return "%s (nominal %.2f)" % (
+        " ".join("%.3f" % p["ref_ms"] for p in passes), REF_NOMINAL_MS)
 
 
 def rank(sorted_values, q):
@@ -157,9 +186,12 @@ def end_to_end(children, problems):
         children, problems)
     names = [j["name"] for j in children[0]["jobs"]]
     warm = [p for c in children for p in c["passes"] if not p["cold"]]
-    # Cold passes run every job too; their samples count toward the minima.
-    best, per_job = best_pass(
-        [p for c in children for p in c["passes"]], names)
+    # Cold samples belong to set-up; a warm job's best comes from warm
+    # passes, where every job runs after the same predecessor.
+    best, per_job = best_pass(warm, names)
+    cpu_best, cpu_per_job = best_pass(warm, names,
+                                      lambda _p: lambda x: x[CPU_MS])
+    _, wall_per_job = best_pass(warm, names, lambda _p: lambda x: x[WALL_MS])
     latencies = [ms for xs in per_job.values() for ms in xs]
     n = len(latencies)
     # Highest percentile that still has >= 10 samples beyond it.
@@ -170,21 +202,41 @@ def end_to_end(children, problems):
     print("workload %s, seed %d: %d processes, %d warm passes, %d job samples"
           % (children[0]["workload"], children[0]["seed"], len(children),
              len(warm), n))
-    print("per-job latency (ms), not gated:      median         min")
+    print("per-job latency (ms), not gated:    scaled median  scaled min"
+          "     CPU min  wall median")
     for name in names:
         xs = per_job.get(name, [])
         if xs:
-            print("  %-28s %10.3f  %10.3f  (n=%d)" % (
-                name, statistics.median(xs), min(xs), len(xs)))
-    print("raw samples: p50 %.3f ms, p90 %.3f ms; p%.1f = %.3f ms is the "
-          "highest percentile with >= 10 of %d samples beyond it"
+            print("  %-28s %12.3f  %10.3f  %10.3f  %11.3f  (n=%d)" % (
+                name, statistics.median(xs), min(xs), min(cpu_per_job[name]),
+                statistics.median(wall_per_job[name]), len(xs)))
+    print("scaled samples: p50 %.3f ms, p90 %.3f ms; p%.1f = %.3f ms "
+          "is the highest percentile with >= 10 of %d samples beyond it"
           % (quantile(latencies, 0.5), quantile(latencies, 0.9),
              100 * tail_q, quantile(latencies, tail_q), n))
+    print("fastest reference per warm pass (ms): " +
+          reference_line(warm))
     print("failed_frac = %.6f (%d of %d jobs)" % (failed_frac, failed,
                                                    attempted))
     print("undecided_frac = %.6f (%d of %d verifications)"
           % (undecided_frac, undecided, verifications))
     print_counts(counts)
+    # Set-up is the cold pass's jobs, scaled like every other timing; the
+    # pass's output checks and reference loops are the benchmark's own.
+    cold = [p for c in children for p in c["passes"] if p["cold"]]
+    setup = [sum(map(pass_scaled(p), p["samples"])) / 1e3 for p in cold]
+    print("cold pass per process (s): jobs scaled %s; whole pass CPU %s, "
+          "wall %s; fastest reference (ms): %s" % (
+              " ".join("%.3f" % t for t in setup),
+              " ".join("%.3f" % p["seconds"] for p in cold),
+              " ".join("%.3f" % p["wall_seconds"] for p in cold),
+              reference_line(cold)))
+
+    print("unscaled CPU time, not gated: jobs_per_s %.4f, job_p50_ms %.3f, "
+          "job_p90_ms %.3f, setup_s %.4f" % (
+              len(cpu_best) / (sum(cpu_best) / 1e3), rank(cpu_best, 0.5),
+              rank(cpu_best, 0.9), statistics.median(
+                  sum(x[CPU_MS] for x in p["samples"]) / 1e3 for p in cold)))
 
     w = counts["warm"]
     metrics = {
@@ -197,9 +249,7 @@ def end_to_end(children, problems):
         "out_2q_gates": metric(w["out_2q_gates"], "count"),
         "peak_rss_mb": metric(statistics.median(
             c["peak_rss_mb"] for c in children), "MB"),
-        "setup_s": metric(statistics.median(
-            p["seconds"] for c in children for p in c["passes"] if p["cold"]),
-            "s"),
+        "setup_s": metric(statistics.median(setup), "s"),
     }
     return attempted, failed, metrics
 
@@ -255,8 +305,13 @@ def per_layer(child, problems):
     zx_undecided = sum(s[3] for p in traced for s in p["samples"]
                        if child["jobs"][s[0]]["name"].endswith("/verify-zx")) / k
     names = [j["name"] for j in child["jobs"]]
-    traced_s = sum(best_pass(traced, names)[0]) / 1e3
-    plain_s = sum(best_pass(plain, names)[0]) / 1e3
+    traced_best, traced_jobs = best_pass(traced, names)
+    plain_best, plain_jobs = best_pass(plain, names)
+    traced_s, plain_s = sum(traced_best) / 1e3, sum(plain_best) / 1e3
+    # Per job, best traced over best untraced latency; the median over jobs
+    # keeps one noisy long job from setting the figure.
+    overhead = statistics.median(
+        min(traced_jobs[name]) / min(plain_jobs[name]) for name in traced_jobs)
     m = {}
     for name in LAYERS:
         m[name + ".calls"] = metric(L[name]["calls"], "count")
@@ -310,7 +365,7 @@ def per_layer(child, problems):
                                   "GFLOP/s"),
         "tn.peak_size": metric(g["tn.peak_size"], "count"),
         "tn.mps_bytes_peak": metric(g["tn.mps_bytes_peak"], "B"),
-        "trace.overhead_frac": metric(traced_s / plain_s - 1.0, "ratio"),
+        "trace.overhead_frac": metric(overhead - 1.0, "ratio"),
         "trace.spans": metric(trace["spans"] / k, "count"),
         "trace.spans_dropped": metric(trace["dropped"], "count"),
         "bench.job_self_s": metric(trace["job_self_s"] / k, "s"),
@@ -323,8 +378,9 @@ def per_layer(child, problems):
             name, L[name]["self_s"], L[name]["calls"], L[name]["errors"]))
     print("  %-10s %.6f  (job spans' own time: the benchmark's overhead)"
           % ("bench", trace["job_self_s"] / k))
-    print("trace.overhead_frac = %.4f (traced pass %.4f s vs untraced %.4f s)"
-          % (traced_s / plain_s - 1.0, traced_s, plain_s))
+    print("trace.overhead_frac = %.4f: median over jobs of best traced / "
+          "best untraced latency - 1 (pass totals: traced %.4f s, untraced "
+          "%.4f s)" % (overhead - 1.0, traced_s, plain_s))
     print_counts(counts)
     return attempted, failed, m
 
@@ -356,6 +412,7 @@ def main():
         attempted, failed, metrics = end_to_end(children, problems)
     for p in sorted(set(problems)):
         print("FAILED (x%d): %s" % (problems.count(p), p))
+    print("failing jobs: %s" % json.dumps(sorted(failing_jobs(problems))))
     print(json.dumps({"correct": not problems, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
 

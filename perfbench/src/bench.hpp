@@ -154,8 +154,12 @@ class Calls {
 /// What a job handed back to its caller. Checked after the timed region.
 struct Outcome {
   /// The job's output circuit: the compiled circuit for compile jobs, the
-  /// circuit handed to the backend otherwise. out_gates counts its gates.
+  /// circuit ir::parse_qasm handed to the backend otherwise. out_gates
+  /// counts its gates and out_2q_gates its two-qubit gates.
   std::optional<ir::Circuit> circuit;
+  /// Gates the backend counted as applied (arrays, stab). When set, it
+  /// stands in for the circuit's gate count in out_gates.
+  std::optional<std::uint64_t> gates_applied;
   std::size_t lint_qubits = 0;
   std::optional<core::SimulateResult> sim;
   Complex amplitude{};
@@ -176,7 +180,8 @@ struct Job {
 
 struct Workload {
   std::string name;
-  /// One pass: indices into jobs, in run order (repeats allowed).
+  /// One warm pass: indices into jobs, in run order (repeats allowed;
+  /// every job at least once).
   std::vector<Job> jobs;
   std::vector<std::size_t> pass;
 };

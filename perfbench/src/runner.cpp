@@ -7,18 +7,35 @@
 //
 // A run is one cold pass (every distinct job once, in a fresh process:
 // what each `qdt` CLI invocation pays) followed by warm passes until the
-// time budget is spent. With --trace 1 the warm passes alternate between
+// time budget is spent. The cold pass runs the jobs in the order of their
+// last run in a warm pass, so it ends on the warm pass's last job: state a
+// job leaves behind (the DD package pool) is then the same at the start of
+// every warm pass. With --trace 1 the warm passes alternate between
 // recording spans and not, so the recorder's overhead is measured against
 // untraced passes of the same process.
+//
+// Jobs are timed in process CPU time: each job runs on this one thread and
+// does no I/O, so its CPU time is what it costs, and unlike wall time it
+// does not grow while a shared host lets other tenants run. Before the
+// first job of a pass and after every job the runner also times fixed
+// reference loops that run no library code; run.py scales the pass's job
+// times by the pass's fastest reference, which removes much of the
+// slowdown other tenants cause on a shared core. Wall times are printed
+// beside them.
 #include <sys/resource.h>
+#include <time.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <complex>
 #include <cstdio>
 #include <exception>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench.hpp"
 #include "obs/obs.hpp"
@@ -35,6 +52,65 @@ double now() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// CPU seconds this process has used (all threads).
+double cpu_now() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Keeps the reference loops from being optimized away.
+volatile double g_reference_sum = 0;
+
+/// CPU milliseconds of eight independent xorshift chains in registers: no
+/// memory traffic, so the core can issue several integer operations per
+/// cycle. A tenant sharing the physical core takes issue slots from it as
+/// it does from the jobs.
+double alu_loop_ms() {
+  std::uint64_t a = 1, b = 2, c = 3, d = 4, e = 5, f = 6, g = 7, h = 8;
+  const double t0 = cpu_now();
+  for (int i = 0; i < 800000; ++i) {
+    a ^= a << 13;
+    b ^= b >> 7;
+    c ^= c << 17;
+    d += d >> 3;
+    e ^= e << 5;
+    f += f << 1;
+    g ^= g >> 11;
+    h += h ^ (h >> 9);
+  }
+  const double ms = (cpu_now() - t0) * 1e3;
+  g_reference_sum = static_cast<double>(a + b + c + d + e + f + g + h);
+  return ms;
+}
+
+/// CPU milliseconds of 40 complex-scaling sweeps over 256 KiB: a private
+/// L2 working set, as array gate sweeps and the tableau have, which a
+/// tenant sharing the physical core contends for. One untimed sweep first
+/// brings the buffer back into the caches, so the time does not depend on
+/// what the job before it touched.
+double sweep_loop_ms() {
+  static std::vector<std::complex<double>> buf(std::size_t{1} << 14,
+                                               {1.0, 0.0});
+  const std::complex<double> turn(0.6, 0.8);  // |turn| = 1
+  for (auto& x : buf) {
+    x *= turn;
+  }
+  const double t0 = cpu_now();
+  for (int rep = 0; rep < 40; ++rep) {
+    for (auto& x : buf) {
+      x *= turn;
+    }
+  }
+  const double ms = (cpu_now() - t0) * 1e3;
+  g_reference_sum = buf[7].real();
+  return ms;
+}
+
+/// The reference: geometric mean of the two loops' times.
+double reference_ms() { return std::sqrt(alu_loop_ms() * sweep_loop_ms()); }
 
 const char* const kCounterNames[kCounters] = {
     "qdt.arrays.svsim.gates_applied",
@@ -108,13 +184,13 @@ std::int32_t Recorder::open(const std::string& name, std::int32_t parent) {
   if (fresh) {
     names_.push_back(name);
   }
-  spans_.push_back({it->second, parent, now(), 0.0});
+  spans_.push_back({it->second, parent, cpu_now(), 0.0});
   return static_cast<std::int32_t>(spans_.size() - 1);
 }
 
 void Recorder::close(std::int32_t span) {
   if (span >= 0) {
-    spans_[static_cast<std::size_t>(span)].end = now();
+    spans_[static_cast<std::size_t>(span)].end = cpu_now();
   }
 }
 
@@ -177,7 +253,8 @@ std::string quoted(const std::string& s) {
 
 struct JobSample {
   std::size_t job = 0;
-  double ms = 0.0;
+  double ms = 0.0;       // CPU time
+  double wall_ms = 0.0;
   bool ok = true;
   bool undecided = false;
 };
@@ -185,7 +262,10 @@ struct JobSample {
 struct PassRecord {
   bool traced = false;
   bool cold = false;
-  double seconds = 0.0;
+  double seconds = 0.0;  // CPU time
+  double wall_seconds = 0.0;
+  /// Fastest reference (reference_ms()) before or after any job.
+  double ref_ms = 0.0;
   std::size_t out_gates = 0;
   std::size_t out_2q_gates = 0;
   Calls calls;
@@ -203,13 +283,15 @@ JobSample run_job(const Workload& w, std::size_t index, PassRecord& pass,
   pass.calls.job_span = recorder != nullptr ? recorder->open(job.name, -1) : -1;
   Outcome out;
   std::string error;
-  const double t0 = now();
+  const double wall0 = now();
+  const double t0 = cpu_now();
   try {
     out = job.run(pass.calls, job);
   } catch (const std::exception& e) {
     error = std::string("threw: ") + e.what();
   }
-  sample.ms = (now() - t0) * 1e3;
+  sample.ms = (cpu_now() - t0) * 1e3;
+  sample.wall_ms = (now() - wall0) * 1e3;
   if (recorder != nullptr) {
     recorder->close(pass.calls.job_span);
   }
@@ -222,7 +304,7 @@ JobSample run_job(const Workload& w, std::size_t index, PassRecord& pass,
   }
   if (out.circuit) {
     const auto stats = out.circuit->stats();
-    pass.out_gates += stats.total_gates;
+    pass.out_gates += out.gates_applied.value_or(stats.total_gates);
     pass.out_2q_gates += stats.two_qubit;
   }
   sample.undecided = out.undecided;
@@ -326,23 +408,28 @@ int run(const std::string& workload, std::uint64_t seed, double seconds,
   Recorder recorder(1 << 18);
   std::vector<std::string> failures;
   std::vector<PassRecord> passes;
+  std::vector<std::size_t> cold_order;
+  for (auto j = w.pass.rbegin(); j != w.pass.rend(); ++j) {
+    if (std::find(cold_order.begin(), cold_order.end(), *j) ==
+        cold_order.end()) {
+      cold_order.insert(cold_order.begin(), *j);
+    }
+  }
 
   const auto run_pass = [&](bool cold, bool traced) {
     PassRecord& p = passes.emplace_back();
     p.cold = cold;
     p.traced = traced;
-    const double t0 = now();
-    if (cold) {
-      for (std::size_t j = 0; j < w.jobs.size(); ++j) {
-        p.samples.push_back(run_job(w, j, p, nullptr, failures));
-      }
-    } else {
-      for (const std::size_t j : w.pass) {
-        p.samples.push_back(
-            run_job(w, j, p, traced ? &recorder : nullptr, failures));
-      }
+    const double wall0 = now();
+    const double t0 = cpu_now();
+    p.ref_ms = reference_ms();
+    for (const std::size_t j : cold ? cold_order : w.pass) {
+      p.samples.push_back(
+          run_job(w, j, p, traced ? &recorder : nullptr, failures));
+      p.ref_ms = std::min(p.ref_ms, reference_ms());
     }
-    p.seconds = now() - t0;
+    p.seconds = cpu_now() - t0;
+    p.wall_seconds = now() - wall0;
   };
 
   run_pass(/*cold=*/true, false);
@@ -353,7 +440,7 @@ int run(const std::string& workload, std::uint64_t seed, double seconds,
   // and one of each kind in a traced run.
   while (warm < (trace ? 2u : 1u) || now() - t0 + last <= seconds) {
     run_pass(false, trace && warm % 2 == 0);
-    last = passes.back().seconds;
+    last = passes.back().wall_seconds;
     ++warm;
   }
 
@@ -373,12 +460,16 @@ int run(const std::string& workload, std::uint64_t seed, double seconds,
     const PassRecord& p = passes[i];
     os << (i ? "," : "") << "{\"cold\":" << (p.cold ? "true" : "false")
        << ",\"traced\":" << (p.traced ? "true" : "false")
-       << ",\"seconds\":" << num(p.seconds) << ",\"counts\":" << counts_json(p)
+       << ",\"seconds\":" << num(p.seconds)
+       << ",\"wall_seconds\":" << num(p.wall_seconds)
+       << ",\"ref_ms\":" << num(p.ref_ms)
+       << ",\"counts\":" << counts_json(p)
        << ",\"layers\":" << layers_json(p.calls) << ",\"samples\":[";
     for (std::size_t s = 0; s < p.samples.size(); ++s) {
       const JobSample& js = p.samples[s];
       os << (s ? "," : "") << "[" << js.job << "," << num(js.ms) << ","
-         << (js.ok ? 1 : 0) << "," << (js.undecided ? 1 : 0) << "]";
+         << (js.ok ? 1 : 0) << "," << (js.undecided ? 1 : 0) << ","
+         << num(js.wall_ms) << "]";
     }
     os << "]}";
   }

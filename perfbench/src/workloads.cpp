@@ -214,10 +214,9 @@ Job simulate_job(std::string name, const Input& in,
     out.sim = calls.in(layer, call.c_str(),
                        [&] { return core::simulate(c, backend, opts); });
     if (layer == Layer::Arrays) {
-      const double gates =
-          static_cast<double>(calls.last_delta(Ctr::ArraysGates));
-      calls.add_work(layer,
-                     gates * std::ldexp(1.0, static_cast<int>(c.num_qubits())));
+      out.gates_applied = calls.last_delta(Ctr::ArraysGates);
+      const double dim = std::ldexp(1.0, static_cast<int>(c.num_qubits()));
+      calls.add_work(layer, static_cast<double>(*out.gates_applied) * dim);
     }
     return out;
   };
@@ -280,9 +279,9 @@ Job tableau_job(std::string name, const Input& in,
     stab::StabilizerSimulator sim(n, seed);
     out.record = calls.in(Layer::Stab, "stab.simulate",
                           [&] { return sim.run(*out.circuit); });
-    calls.add_work(Layer::Stab,
-                   static_cast<double>(calls.last_delta(Ctr::StabGates)) *
-                       static_cast<double>(2 * n));
+    out.gates_applied = calls.last_delta(Ctr::StabGates);
+    calls.add_work(Layer::Stab, static_cast<double>(*out.gates_applied) *
+                                    static_cast<double>(2 * n));
     return out;
   };
   job.check = std::move(check);
@@ -535,16 +534,22 @@ Input adder_input(std::size_t k, std::uint64_t a, std::uint64_t b,
 Workload sim_dense(std::uint64_t seed) {
   Workload w;
   w.name = "sim-dense";
-  const Input qft = input_of(ir::qft(20));
-  // Fixed circuit: the CP/T/RZ mix is drawn per seed, and a drawn
-  // two-qubit count would move out_2q_gates with the seed.
-  const Input phase = input_of(ir::random_phase_circuit(20, 200, 1));
+  // 18 qubits: a 4 MiB state, larger than a core's 2 MiB L2 and far
+  // smaller than L3, as a 20-qubit state is, at a quarter of the cost, so a
+  // run gets twice the samples of each job. Memory-bound sweeps vary with
+  // other tenants' load more than the reference loop tracks, and only more
+  // samples steady their best time.
+  const Input qft = input_of(ir::qft(18));
+  // Fixed circuit: the CP/T/RZ mix is drawn per circuit seed, and over
+  // seeds 21-25 the drawn CP count moved out_2q_gates by 0.045 (IQR over
+  // median), next to its 0.05 bound. The array cost hardly depends on it.
+  const Input phase = input_of(ir::random_phase_circuit(18, 400, 1));
   const Input rnd = input_of(ir::random_circuit(18, 20, derive(seed, 2)));
   const std::uint64_t marked = half_weight(12, derive(seed, 3));
   w.jobs = {
-      simulate_job("qft20/array", qft, SimBackend::Array, state_opts(),
+      simulate_job("qft18/array", qft, SimBackend::Array, state_opts(),
                    uniform_check()),
-      simulate_job("phase20x200/array", phase, SimBackend::Array,
+      simulate_job("phase18x400/array", phase, SimBackend::Array,
                    state_opts(), uniform_check()),
       simulate_job("random18x20/array", rnd, SimBackend::Array, state_opts(),
                    [ref = naive_state(rnd.parsed)](const Outcome& o) {
@@ -556,19 +561,27 @@ Workload sim_dense(std::uint64_t seed) {
                         SimBackend::Array, shot_opts(derive(seed, 6)),
                         single_outcome_check(marked, 1000)),
   };
-  // Ranked, a pass is 8 light jobs and 3 heavy ones: p50 is ghz20 and p90
-  // the second-slowest heavy job.
-  w.pass = {4, 3, 0, 4, 3, 2, 4, 3, 1, 4, 3};
+  // Ranked, a pass is 10 light jobs and 6 heavy ones (each heavy job
+  // twice). grover12 fills eight of the ten light ranks, so p50 (rank 8)
+  // is grover12 whether it is faster or slower than ghz20; p90 (rank 15)
+  // is the slowest heavy job.
+  w.pass = {4, 0, 4, 3, 1, 4, 2, 4, 4, 0, 4, 3, 1, 4, 2, 4};
   return w;
 }
 
 Workload sim_dd(std::uint64_t seed) {
   Workload w;
   w.name = "sim-dd";
-  const auto random_job = [](std::string name, std::size_t n,
-                             std::uint64_t s) {
-    const Input in = input_of(ir::random_circuit(n, 8, s));
-    core::SimulateOptions o = shot_opts(s);
+  // The table-heavy circuits are fixed. Their DD cost swings 2x across
+  // circuit seeds for random_circuit(10|11, 8, s), and 9x (92-832 ms) for
+  // random_phase_circuit(16, 200, s), so drawn circuits would move every
+  // timing with the seed. The seed still draws their shots and every
+  // table-light input.
+  const auto random_job = [seed](std::string name, std::size_t n,
+                                 std::uint64_t circuit_seed,
+                                 std::uint64_t shot_index) {
+    const Input in = input_of(ir::random_circuit(n, 8, circuit_seed));
+    core::SimulateOptions o = shot_opts(derive(seed, shot_index));
     o.want_state = true;
     return simulate_job(std::move(name), in, SimBackend::DecisionDiagram, o,
                         state_check(array_state(in.parsed)));
@@ -580,14 +593,13 @@ Workload sim_dd(std::uint64_t seed) {
   const Input adder = adder_input(8, half_weight(8, derive(seed, 13)),
                                   half_weight(8, derive(seed, 14)),
                                   &adder_out);
-  // Fixed circuit, as in sim-dense: keeps out_2q_gates seed-independent.
   const Input phase = input_of(ir::random_phase_circuit(16, 200, 2));
   constexpr SimBackend kDd = SimBackend::DecisionDiagram;
   w.jobs = {
-      random_job("random10-s7/dd", 10, 7),
-      random_job("random10-a/dd", 10, derive(seed, 16)),
-      random_job("random10-b/dd", 10, derive(seed, 17)),
-      random_job("random11/dd", 11, derive(seed, 18)),
+      random_job("random10-s7/dd", 10, 7, 15),
+      random_job("random10-s8/dd", 10, 8, 16),
+      random_job("random10-s9/dd", 10, 9, 17),
+      random_job("random11-s7/dd", 11, 7, 18),
       simulate_job("phase16x200/dd", phase, kDd, state_opts(),
                    uniform_check()),
       simulate_job("qft20/dd", input_of(ir::qft(20)), kDd,
@@ -617,17 +629,29 @@ Workload sim_dd(std::uint64_t seed) {
                    kDd, shot_opts(derive(seed, 25)),
                    single_outcome_check(secret, 1024)),
   };
-  // Ranked, a pass is 15 table-light jobs and 5 table-heavy ones: p50 is
-  // one of ghz64, grover10 and bv63, and p90 the slowest random10.
-  for (std::size_t heavy = 0; heavy < 5; ++heavy) {
-    if (heavy < 3) {
-      for (std::size_t light = 5; light < 10; ++light) {
-        w.pass.push_back(light);
+  // The pass runs its sequence twice, so every table-heavy job has two
+  // samples per pass even when a slow host fits only one pass in a
+  // process; their DD time varies more from run to run than any other
+  // job's. Ranked, a pass is 30 table-light entries and 10 table-heavy
+  // ones. bv63 runs eight times and grover10 four, so p50 (rank 20) is
+  // bv63 whether or not grover10 is faster; p90 (rank 36) is the middle
+  // one of the five table-heavy jobs.
+  const std::vector<std::vector<std::size_t>> light = {
+      {5, 6, 7, 8, 9}, {5, 6, 7, 9, 9}, {5, 6, 7, 8, 9}};
+  for (int twice = 0; twice < 2; ++twice) {
+    for (std::size_t heavy = 0; heavy < 5; ++heavy) {
+      if (heavy < light.size()) {
+        w.pass.insert(w.pass.end(), light[heavy].begin(), light[heavy].end());
       }
+      w.pass.push_back(heavy);
     }
-    w.pass.push_back(heavy);
   }
   return w;
+}
+
+transpile::Target grid_target(std::size_t rows, std::size_t cols) {
+  return {transpile::CouplingMap::grid(rows, cols),
+          transpile::NativeGateSet::CxRzSxX, "grid"};
 }
 
 Workload compile_verify(std::uint64_t seed) {
@@ -638,21 +662,30 @@ Workload compile_verify(std::uint64_t seed) {
   const transpile::Target hex{transpile::CouplingMap::heavy_hex_falcon(),
                               transpile::NativeGateSet::CxRzSxX, "heavyhex"};
   const Input qft12 = input_of(ir::qft(12));
+  // The unstructured narrow miters are routed on grids: on heavy-hex the
+  // DD check refutes correct compilations of most such circuits (the
+  // program defect recorded in README.md). Their circuits are fixed
+  // because the miter's cost swings 5-10x across circuit seeds.
   w.jobs = {
       compile_job("qft12-line/verify-dd", qft12, line12, Verify::Dd),
-      compile_job("random10-hex/verify-dd",
-                  input_of(ir::random_circuit(10, 8, derive(seed, 31))), hex,
-                  Verify::Dd),
-      compile_job("cliffordt12-hex/verify-dd",
-                  input_of(ir::random_clifford_t(12, 400, 0.1,
-                                                  derive(seed, 32))),
-                  hex, Verify::Dd),
+      compile_job("random10-grid/verify-dd",
+                  input_of(ir::random_circuit(10, 8, 1)),
+                  grid_target(2, 5), Verify::Dd),
+      compile_job("cliffordt12-grid/verify-dd",
+                  input_of(ir::random_clifford_t(12, 400, 0.1, 1)),
+                  grid_target(3, 4), Verify::Dd),
       compile_job("adder6-hex/verify-dd",
                   input_of(ir::ripple_carry_adder(6)), hex, Verify::Dd),
       compile_job("qft12-line/mutant-dd", qft12, line12, Verify::DdMutant),
       zx_job("qft12-line/verify-zx", ir::qft(12), line12, 10.0, true),
-      zx_job("clifford27-hex/verify-zx",
-             ir::random_clifford(27, 3000, derive(seed, 33)), hex, 2.0, false),
+      // Ends inconclusive on its own after ~0.6 s of rewriting and tensor
+      // fallback; the deadline only guards against a run-away. 1000 gates,
+      // not 3000: the ZX cost grows with the gate count (3000 gates take
+      // ~2.7 s) and the verdict stays inconclusive, and the job runs in
+      // every pass of every process.
+      zx_job("clifford27x1000-hex/verify-zx",
+             ir::random_clifford(27, 1000, derive(seed, 33)), hex, 10.0,
+             false),
       compile_job("clifford27x3000-hex/compile",
                   input_of(ir::random_clifford(27, 3000, derive(seed, 34))),
                   hex, Verify::None),
@@ -664,10 +697,13 @@ Workload compile_verify(std::uint64_t seed) {
                                                   derive(seed, 36))),
                   hex, Verify::None),
   };
-  // Ranked, a pass is four millisecond jobs, five 0.15-0.6 s jobs and the
-  // ZX job at its deadline: p50 and p90 are the fastest and the slowest of
-  // the middle five.
-  w.pass = {0, 1, 7, 3, 2, 8, 4, 9, 5, 6};
+  // Ranked, a pass is five jobs of 1-20 ms, thirteen wide compiles of
+  // 0.13-0.2 s and the two slow jobs (cliffordt12-grid ~0.3 s, the wide ZX
+  // job ~0.6 s). The 3000-gate Clifford compile runs six times, so p50
+  // (rank 10) is that job whether or not cliffordt27 (twice) is faster;
+  // p90 (rank 18) is the 6000-gate compile, whose five copies are the
+  // slowest compiles.
+  w.pass = {0, 7, 8, 9, 7, 1, 8, 7, 3, 8, 7, 9, 2, 8, 4, 7, 8, 5, 7, 6};
   return w;
 }
 
@@ -729,9 +765,11 @@ Workload sim_wide(std::uint64_t seed) {
                     SimBackend::TensorNetwork, derive(seed, 49) & 0xFFFFFFFFFF,
                     SimBackend::Mps),
   };
-  // Ranked, a pass is the 16-qubit TN amplitude, two MPS and two 40-qubit
-  // TN jobs, then five tableau jobs: p50 is brickwork40d10, p90 echo2048.
-  w.pass = {2, 4, 0, 1, 2, 4, 0, 3, 1, 0};
+  // Ranked, a pass is the 16-qubit TN amplitude, two MPS and three 40-qubit
+  // TN jobs, then four tableau jobs: p50 (rank 5) is brickwork40d10, the
+  // middle of its three copies, and p90 (rank 9) is clifford1024, whose
+  // three copies hold rank 9 whether echo2048 is faster or slower.
+  w.pass = {2, 4, 0, 1, 4, 0, 3, 2, 4, 0};
   return w;
 }
 
@@ -756,9 +794,9 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
   } else {
     throw std::invalid_argument("unknown workload " + name);
   }
-  if (w.pass.empty()) {
-    for (std::size_t i = 0; i < w.jobs.size(); ++i) {
-      w.pass.push_back(i);
+  for (std::size_t i = 0; i < w.jobs.size(); ++i) {
+    if (std::find(w.pass.begin(), w.pass.end(), i) == w.pass.end()) {
+      throw std::logic_error("job " + w.jobs[i].name + " is not in the pass");
     }
   }
   return w;
